@@ -112,11 +112,11 @@ pub struct CampaignConfig {
     /// campaign semantics; the journal path is not (it only adds a sink).
     pub telemetry: TelemetryConfig,
     /// Wrong-result detection knob (default [`OracleConfig::Off`]). When on,
-    /// the multi-form oracle re-executes every planned statement through its
-    /// equivalent forms, and the pivot / differential oracles run once after
-    /// the planned stream as a synthetic trailing shard. All oracle checks
-    /// are pure functions of the prepared template and the statement, so the
-    /// worker-count-invariance guarantee holds with oracles on.
+    /// the multi-form oracle checks every planned statement against its
+    /// literal-unfolded form, and the pivot / differential oracles run once
+    /// after the planned stream as a synthetic trailing shard. All oracle
+    /// checks are pure functions of the prepared template and the statement,
+    /// so the worker-count-invariance guarantee holds with oracles on.
     pub oracles: OracleConfig,
     /// Columnar batch execution (default on). When on, each shard groups
     /// same-shape prepared statements and evaluates every group as one
@@ -1657,12 +1657,12 @@ fn run_shard(
             }
         };
         // The multi-form oracle inspects every statement the crash plane
-        // passed on. It re-executes the statement's forms on private clones
-        // of the *template* (never this shard's engine), so the verdict is
-        // a pure function of (template, statement) — shard state and worker
+        // passed on. It executes the statement's forms on private clones of
+        // the *template* (never this shard's engine), so the verdict is a
+        // pure function of (template, statement) — shard state and worker
         // count cannot change it. A batched outcome *is* the prepared-path
         // outcome of a state-independent statement, so it doubles as the
-        // oracle's reference form and saves the form-A re-execution.
+        // oracle's reference form and only the unfolded form executes.
         let logic = match (&outcome, oracles) {
             (ExecOutcome::Crash(_), _) | (_, None) => None,
             (_, Some(opts)) if !opts.multi_form => None,

@@ -100,9 +100,9 @@ pub fn minimize(poc: &str, mut make_engine: impl FnMut() -> Engine) -> String {
 
 /// Minimises a wrong-result PoC flagged by the multi-form oracle,
 /// preserving the oracle's verdict: a reduction is accepted only while
-/// [`oracle::multi_form_check`], run on the candidate's *rendering*
-/// re-parsed through the string path, still reports a divergence. Inputs
-/// the oracle does not currently flag come back unchanged.
+/// [`oracle::multi_form_check`], run on the parse of the candidate's
+/// *rendering*, still reports a divergence. Inputs the oracle does not
+/// currently flag come back unchanged.
 ///
 /// `make_engine` must produce the campaign's template engine (seed state
 /// loaded); the oracle clones it per form, so one template serves the whole
@@ -130,8 +130,8 @@ pub fn minimize_logic(poc: &str, mut make_engine: impl FnMut() -> Engine) -> Str
             if rendered.len() >= best_len {
                 continue;
             }
-            // Judge the rendering re-parsed through the string path — the
-            // same text `repro replay` will feed the oracle.
+            // Judge the re-parsed rendering — the same text `repro replay`
+            // will feed the oracle.
             let Ok(reparsed) = soft_parser::parse_statement(&rendered) else {
                 continue;
             };

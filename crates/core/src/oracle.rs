@@ -8,11 +8,17 @@
 //! so campaign results stay byte-identical across worker counts:
 //!
 //! * **Multi-form execution** ([`multi_form_check`]) — executes one
-//!   statement through semantically equivalent forms (prepared AST vs. the
-//!   string path, and a literal-unfolded variant that rewrites `f(42)` to
-//!   `f(42 + 0)`), and flags any divergence in outcome or result. Folding a
+//!   statement in two semantically equivalent forms, the prepared AST (the
+//!   reference) and a literal-unfolded rewrite that turns `f(42)` into
+//!   `f(42 + 0)`, and flags any divergence in outcome or result. Folding a
 //!   literal through an operator flips its provenance, so quirks gated on
 //!   [`soft_engine::ProvPred::IsLiteral`] stop firing and betray themselves.
+//!   There is no string-path form: every caller's statement is the parse of
+//!   its text, so re-entering through [`Engine::execute`] would run the same
+//!   `Prepared` on the same template state as the reference — one more
+//!   execution that can never disagree. A check therefore executes the
+//!   unfolded form, plus the reference form when the caller has no outcome
+//!   for it yet.
 //! * **PQS-style pivot probes** ([`pivot_check`]) — picks a *pivot* row
 //!   from the shared seed tables and synthesises a boundary-function
 //!   predicate that provably selects it; a result set missing the pivot is
@@ -37,7 +43,7 @@ use soft_parser::visit;
 pub enum OracleKind {
     /// PQS-style pivot containment probe.
     Pivot,
-    /// Multi-form (prepared / string / literal-unfolded) execution.
+    /// Multi-form (prepared / literal-unfolded) execution.
     MultiForm,
     /// Cross-dialect differential against fault-free peers.
     Differential,
@@ -140,76 +146,85 @@ fn signature(outcome: &ExecOutcome) -> Option<String> {
             Some(format!("rows: {}", rows.join("; ")))
         }
         ExecOutcome::Ok(_) => Some("ok".to_string()),
-        // All resource kills are one class (limits are legitimately
-        // form-sensitive: the string path has a length gate the prepared
-        // path does not), and all ordinary errors are one class (error
-        // *messages* may mention the literal spelling the unfolding
-        // changed).
+        // All resource kills are one class (which limit trips first may
+        // legitimately depend on the form), and all ordinary errors are one
+        // class (error *messages* may mention the literal spelling the
+        // unfolding changed).
         ExecOutcome::Error(SqlError::ResourceLimit(_)) => Some("resource-limit".to_string()),
         ExecOutcome::Error(_) => Some("error".to_string()),
         ExecOutcome::Crash(_) => None,
     }
 }
 
-/// Runs one statement through its equivalent forms and reports the first
-/// divergence. `template` is the campaign's prepared template engine (seed
-/// tables loaded, no statements from other cases executed); every form runs
-/// on a private clone, so the check is free of cross-case state.
+/// Runs one statement through its two equivalent forms and reports the
+/// divergence, if any. `template` is the campaign's prepared template
+/// engine (seed tables loaded, no statements from other cases executed);
+/// each form runs on a private clone, so the check is free of cross-case
+/// state.
 ///
-/// Form A (the reference) executes the prepared AST — the campaign's normal
-/// hot path. Form B re-enters through the string path (`Engine::execute`),
-/// which re-lexes and re-parses `sql`. Form C, when literal unfolding
-/// finds anything to rewrite, executes `f(42 + 0)` in place of `f(42)` —
-/// same value, different provenance. Any form crashing returns `None`.
-pub fn multi_form_check(template: &Engine, sql: &str, stmt: &Statement) -> Option<LogicBug> {
-    let reference = {
-        let mut engine = template.clone();
-        let prepared = engine.prepare_parsed(stmt.clone());
-        engine.execute_prepared(&prepared)
-    };
-    multi_form_check_with(template, sql, stmt, &reference)
+/// The reference form executes the prepared AST — the campaign's normal hot
+/// path. The unfolded form executes the literal-unfolded rewrite,
+/// `f(42 + 0)` in place of `f(42)` — same value, different provenance. A
+/// statement with nothing to unfold has no second form, so neither runs.
+/// Any form crashing returns `None`.
+///
+/// There is no string-path form: `stmt` must be the parse of `sql` with the
+/// length gate passed (every caller's is), and for such a statement
+/// [`Engine::execute`] runs the same `Prepared` on the same template state
+/// as the reference form, so it can never disagree with it.
+///
+/// `sql` is the statement's text. No form reads it.
+pub fn multi_form_check(template: &Engine, _sql: &str, stmt: &Statement) -> Option<LogicBug> {
+    let unfolded = unfolded_form(stmt)?;
+    let reference = execute_on_clone(template, stmt.clone());
+    compare_unfolded(template, unfolded, &reference)
 }
 
-/// [`multi_form_check`] with form A's outcome supplied by the caller,
-/// skipping one template clone and one prepared execution per check. The
-/// campaign's batch demux uses this: a batched statement's outcome *is* the
-/// prepared-path outcome, and batchable statements read neither tables nor
-/// mutable session state, so the outcome the shard engine produced is
-/// exactly what a private template clone would produce — the purity
-/// contract [`multi_form_check`] establishes by cloning.
+/// [`multi_form_check`] with the reference form's outcome supplied by the
+/// caller, so only the unfolded form executes here. The campaign's batch
+/// demux uses this: a batched statement's outcome *is* the prepared-path
+/// outcome, and batchable statements read neither tables nor mutable
+/// session state, so the outcome the shard engine produced is exactly what
+/// a private template clone would produce — the purity contract
+/// [`multi_form_check`] establishes by cloning. The string-path form is
+/// absent here for the same reason as there.
+///
+/// `sql` is the statement's text and is unused, as in [`multi_form_check`].
 pub fn multi_form_check_with(
     template: &Engine,
-    sql: &str,
+    _sql: &str,
     stmt: &Statement,
     reference: &ExecOutcome,
 ) -> Option<LogicBug> {
-    let expected = signature(reference)?;
+    compare_unfolded(template, unfolded_form(stmt)?, reference)
+}
 
-    let string_form = template.clone().execute(sql);
-    match signature(&string_form) {
-        None => return None,
-        Some(actual) if actual != expected => {
-            return Some(LogicBug { oracle: OracleKind::MultiForm, expected, actual });
-        }
-        Some(_) => {}
-    }
-
+/// The unfolded form of `stmt`, or `None` when it has none: it calls a
+/// provenance-sensitive function, or has no literal argument to unfold.
+fn unfolded_form(stmt: &Statement) -> Option<Statement> {
     if provenance_sensitive(stmt) {
         return None;
     }
-    if let Some(unfolded) = unfold_literals(stmt) {
-        let mut engine = template.clone();
-        let prepared = engine.prepare_parsed(unfolded);
-        let outcome = engine.execute_prepared(&prepared);
-        match signature(&outcome) {
-            None => return None,
-            Some(actual) if actual != expected => {
-                return Some(LogicBug { oracle: OracleKind::MultiForm, expected, actual });
-            }
-            Some(_) => {}
-        }
-    }
-    None
+    unfold_literals(stmt)
+}
+
+/// Prepares and executes `stmt` on a private clone of `template`.
+fn execute_on_clone(template: &Engine, stmt: Statement) -> ExecOutcome {
+    let mut engine = template.clone();
+    let prepared = engine.prepare_parsed(stmt);
+    engine.execute_prepared(&prepared)
+}
+
+/// Executes the unfolded form and reports it when it disagrees with the
+/// reference outcome.
+fn compare_unfolded(
+    template: &Engine,
+    unfolded: Statement,
+    reference: &ExecOutcome,
+) -> Option<LogicBug> {
+    let expected = signature(reference)?;
+    let actual = signature(&execute_on_clone(template, unfolded))?;
+    (actual != expected).then_some(LogicBug { oracle: OracleKind::MultiForm, expected, actual })
 }
 
 /// The fault id and credited function for a multi-form finding on `stmt`:
@@ -477,8 +492,8 @@ mod tests {
     fn multi_form_flags_the_clickhouse_tostring_quirk() {
         // The shipped ClickHouse quirk makes toString(42) return "42.0",
         // but only when the argument is a bare literal. Unfolding 42 into
-        // 42 + 0 keeps the value and flips the provenance, so form C
-        // disagrees with the reference — the exact multi-form signal.
+        // 42 + 0 keeps the value and flips the provenance, so the unfolded
+        // form disagrees with the reference — the exact multi-form signal.
         let p = profile(DialectId::Clickhouse);
         let t = template(&p);
         let sql = "SELECT toString(42)";

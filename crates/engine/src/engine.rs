@@ -15,6 +15,7 @@ use crate::functions;
 use crate::registry::{FunctionRegistry, Limits, SessionState};
 use soft_parser::ast::Statement;
 use soft_types::cast::CastStrictness;
+use std::sync::Arc;
 
 /// Engine configuration — the knobs a dialect profile sets.
 #[derive(Debug, Clone)]
@@ -73,6 +74,10 @@ impl Prepared {
 
 /// The in-memory SQL engine.
 ///
+/// Cloning is cheap: the function registry and fault set never change after
+/// [`Engine::new`], so clones share them, and a clone copies only the
+/// per-database state (catalog, session), coverage and the crash log.
+///
 /// # Examples
 ///
 /// ```
@@ -90,8 +95,8 @@ impl Prepared {
 #[derive(Debug, Clone)]
 pub struct Engine {
     config: EngineConfig,
-    registry: FunctionRegistry,
-    faults: FaultSet,
+    registry: Arc<FunctionRegistry>,
+    faults: Arc<FaultSet>,
     catalog: Catalog,
     coverage: Coverage,
     session: SessionState,
@@ -104,8 +109,8 @@ impl Engine {
     pub fn new(config: EngineConfig, registry: FunctionRegistry, faults: FaultSet) -> Engine {
         Engine {
             config,
-            registry,
-            faults,
+            registry: Arc::new(registry),
+            faults: Arc::new(faults),
             catalog: Catalog::new(),
             coverage: Coverage::new(),
             session: SessionState::default(),
@@ -722,6 +727,21 @@ mod tests {
         assert_eq!(a.execute("SELECT COUNT(*) FROM snap"), b.execute("SELECT COUNT(*) FROM snap"));
         assert_eq!(a.coverage().branches_covered(), b.coverage().branches_covered());
         assert_eq!(a.coverage().functions_triggered(), b.coverage().functions_triggered());
+    }
+
+    #[test]
+    fn clones_share_registry_and_faults_but_not_tables() {
+        let mut source = engine();
+        let mut a = source.clone();
+        let mut b = source.clone();
+        assert!(std::ptr::eq(source.registry(), a.registry()));
+        assert!(std::ptr::eq(source.registry(), b.registry()));
+        assert!(std::ptr::eq(source.faults(), a.faults()));
+        assert!(std::ptr::eq(source.faults(), b.faults()));
+        assert!(matches!(a.execute("CREATE TABLE only_a (x INTEGER)"), ExecOutcome::Ok(_)));
+        assert!(a.catalog_mut().table("only_a").is_some());
+        assert!(b.catalog_mut().table("only_a").is_none());
+        assert!(source.catalog_mut().table("only_a").is_none());
     }
 
     #[test]

@@ -206,6 +206,30 @@ awk -v off="$spans_off" -v on="$spans_on" 'BEGIN {
     }
 }' || exit 1
 
+echo "verify: oracles bench + oracle-plane cost gate (paired arms)"
+# The oracles-off and oracles-on arms alternate inside one measurement
+# window (bench_pair), and the bench asserts both arms find the same
+# crashes. Arming the oracles costs one extra execution per multi-form
+# check (measured 1.68x off/on statements/sec at 60k statements,
+# EXPERIMENTS.md "Wrong-result oracles"); the gate allows that plus a
+# 0.3x margin for run-to-run spread.
+SOFT_BENCH_WARMUP_MS=1 SOFT_BENCH_MEASURE_MS=50 SOFT_BENCH_JSON_DIR="$PWD" \
+    cargo bench --offline -q -p soft-bench --bench oracles > /dev/null
+test -s BENCH_oracles.json
+oracle_rates="$(sed -n 's/.*"label": "\([^"]*\)".*"items_per_sec": \([0-9.]*\).*/\1 \2/p' BENCH_oracles.json)"
+oracles_off="$(printf '%s\n' "$oracle_rates" | awk '$1 == "oracles/ClickHouse/off" { print $2 }')"
+oracles_on="$(printf '%s\n' "$oracle_rates" | awk '$1 == "oracles/ClickHouse/on" { print $2 }')"
+if [ -z "$oracles_off" ] || [ -z "$oracles_on" ]; then
+    echo "verify: BENCH_oracles.json is missing the paired oracles arms" >&2
+    exit 1
+fi
+awk -v off="$oracles_off" -v on="$oracles_on" 'BEGIN {
+    if (off + 0 > 1.98 * on) {
+        printf "verify: arming the oracles costs >1.98x statements/sec (%.0f off vs %.0f on)\n", off, on
+        exit 1
+    }
+}' || exit 1
+
 echo "verify: schedule bench smoke (static vs adaptive arms run end to end)"
 # A tiny budget proves the comparison harness builds and runs every arm;
 # the adaptive-vs-static yield gate only applies at the bench's default
