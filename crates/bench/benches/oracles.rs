@@ -5,7 +5,7 @@
 //!
 //! An armed campaign runs the multi-form oracle on every planned statement
 //! with something to unfold — one extra execution on a template clone, two
-//! when the statement did not take the batch path — plus the pivot and
+//! when the statement is not batchable — plus the pivot and
 //! differential oracles once per campaign. EXPERIMENTS.md ("Wrong-result
 //! oracles") records the measured off/on ratio and `scripts/verify.sh`
 //! gates it. The oracles must never change what the crash plane finds, so

@@ -12,14 +12,22 @@
 //!
 //! # Prepared execution
 //!
-//! Every planned statement is parsed **exactly once**: after planning, the
-//! campaign compiles the stream against the shard template
-//! (`Plan::prepare` → [`soft_engine::Engine::prepare`]), and the shards
-//! execute the owned ASTs via
-//! [`soft_engine::Engine::execute_prepared`]. The rendered SQL string is
-//! kept only for findings/PoCs and the event journal. Preparation also
-//! resolves every function name to its registry entry, so per-call dispatch
-//! inside the executor does zero heap allocation.
+//! Every planned statement is parsed **exactly once**, by the shard that
+//! executes it: when a shard starts, it compiles its own range of the
+//! stream against the template ([`soft_engine::Engine::prepare`]), executes
+//! the owned ASTs via [`soft_engine::Engine::execute_prepared`], and drops
+//! them when it ends — so no more than one shard's ASTs per worker are
+//! alive at a time. Preparation also resolves every function name to its
+//! registry entry, so per-call dispatch inside the executor does zero heap
+//! allocation.
+//!
+//! The planned SQL text, not the generator's AST, is what a shard prepares:
+//! the campaign's specification of a statement is the parse of its text,
+//! and parsing the rendered text does not always give back the generator's
+//! tree (a negative pool literal renders as `-9` and re-parses as the
+//! negation of `9`; 4.1–6.2% of the statements planned at 150k per dialect
+//! differ this way). The text is also what findings, PoCs and the journal
+//! carry.
 //!
 //! # Parallel execution
 //!
@@ -28,10 +36,14 @@
 //! campaign first *plans* the exact statement stream a serial run would
 //! execute (seeds, then the round-robin of pattern-generated cases, globally
 //! deduplicated and truncated at the budget), then partitions that stream
-//! into fixed-size shards. Every shard executes against a private [`Engine`]
-//! cloned from a prepared template, and a deterministic merge combines the
-//! shard results: findings are deduplicated by fault id in global statement
-//! order, counters are summed, and coverage sets are unioned.
+//! into fixed-size shards. Generation itself is parallel: workers claim
+//! (pattern, seed-chunk) units and the chunks concatenate in (pattern,
+//! seed) order, exactly the serial loop's output. Every shard prepares and
+//! executes its range against a private [`Engine`] cloned from a prepared
+//! template, and a deterministic merge combines the shard results: findings
+//! are deduplicated by fault id in global statement order, counters are
+//! summed, coverage sets are unioned, and the per-shard parse and execute
+//! histograms are merged.
 //!
 //! Because the shard decomposition depends only on the configuration — never
 //! on the worker count — [`run_soft_parallel`] produces a byte-identical
@@ -52,8 +64,8 @@
 //!
 //! The flight recorder ([`LivePlane::spans`]) is the third observer on the
 //! same plane: each shard records hierarchical wall-clock spans (shard,
-//! batch-group, execute, oracle) into a buffer it owns exclusively, the
-//! campaign thread records the planning stages (generate, parse, epoch,
+//! parse, batch-group, execute, oracle) into a buffer it owns exclusively,
+//! the campaign thread records the planning stages (generate, epoch,
 //! minimize, campaign), and the join merges everything into a
 //! [`SpanTrace`] on [`CampaignRun::spans`] — exportable as Chrome
 //! trace-event JSON for Perfetto. Spans are wall-clock and therefore live
@@ -71,12 +83,13 @@ use soft_engine::{
 };
 use soft_obs::span::CAMPAIGN_TRACK;
 use soft_obs::{
-    ArmAlloc, EpochRealloc, LiveMetrics, OutcomeClass, ShardTelemetry, SpanRecord, SpanSink,
-    SpanTrace, StageLatency, StatementEvent, TelemetryConfig, TelemetryOptions, WatchdogConfig,
-    WatchdogReport,
+    ArmAlloc, EpochRealloc, LatencyHistogram, LiveMetrics, OutcomeClass, ShardTelemetry,
+    SpanRecord, SpanSink, SpanTrace, StageLatency, StatementEvent, TelemetryConfig,
+    TelemetryOptions, WatchdogConfig, WatchdogReport,
 };
 use soft_types::category::FunctionCategory;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -191,7 +204,10 @@ const PATTERN_ORDER: [PatternId; 10] = [
 /// One statement of the planned campaign stream.
 #[derive(Debug, Clone)]
 struct PlannedCase {
-    sql: String,
+    /// The statement text — the campaign's specification of the statement.
+    /// Shared with the planner's deduplication set, so each planned
+    /// statement's text is stored once.
+    sql: Arc<str>,
     /// `None` for phase-1 seed statements.
     pattern: Option<PatternId>,
     /// Index of the seed the statement derives from (telemetry provenance).
@@ -199,22 +215,10 @@ struct PlannedCase {
 }
 
 /// The planned campaign: the exact statement stream plus the provenance
-/// tables telemetry needs. Building it involves no engine; [`Plan::prepare`]
-/// then compiles the stream against the shard template so each statement is
-/// parsed exactly once and the shards execute owned ASTs.
+/// tables telemetry needs. Building it involves no engine: each shard
+/// prepares its own range of the stream when it starts (see [`run_shard`]).
 struct Plan {
     cases: Vec<PlannedCase>,
-    /// One prepared statement — or its pre-execution error, replayed as the
-    /// statement's outcome — per planned case, aligned with `cases`. Filled
-    /// by [`Plan::prepare`]; this is the campaign's single parse of each
-    /// statement.
-    prepared: Vec<Result<Prepared, SqlError>>,
-    /// The structural shape of each prepared statement, aligned with
-    /// `cases`: `Some(key)` when the statement is batchable (see
-    /// [`soft_engine::Engine::shape_key`]), `None` when it must take the
-    /// scalar path. Filled by [`Plan::prepare`] so the shards only group,
-    /// never re-analyse.
-    shapes: Vec<Option<ShapeKey>>,
     generated_per_pattern: Vec<(PatternId, usize)>,
     /// Root function of each seed statement (the first collected function
     /// expression), indexed by seed id — the journal's "target function"
@@ -223,38 +227,30 @@ struct Plan {
     seed_functions: Vec<Option<Arc<str>>>,
     /// Wall-clock generation time per active pattern (telemetry only).
     generate_latency: Vec<Duration>,
-    /// Wall-clock prepare time per case (telemetry only, else empty) — the
-    /// parse-stage histogram, now genuinely disjoint from execution.
-    prepare_latency: Vec<Duration>,
 }
 
-impl Plan {
-    /// Parses every not-yet-prepared planned statement once against the
-    /// template engine — incremental, so the scheduler's epoch loop can
-    /// extend the plan and prepare only the new tail. Serial by design: the
-    /// prepared stream (like the plan itself) must be independent of the
-    /// worker count, and recording per-case wall-clock here keeps the parse
-    /// histogram deterministic in sample count.
-    fn prepare(&mut self, template: &Engine, timed: bool) {
-        let start = self.prepared.len();
-        self.prepared.reserve_exact(self.cases.len() - start);
-        self.shapes.reserve_exact(self.cases.len() - start);
-        if timed {
-            self.prepare_latency.reserve_exact(self.cases.len() - start);
+/// The planner's exact-text deduplication: every statement text is planned
+/// at most once per campaign. The set shares each text with the planned
+/// case that owns it, so a statement costs one string, not two.
+struct Dedup(HashSet<Arc<str>>);
+
+impl Dedup {
+    /// A set sized for the statements a campaign can plan: at most
+    /// `budget`, and at most every seed plus every generated case.
+    fn for_plan(budget: usize, collection: &Collection, generated: &[TaggedCases]) -> Dedup {
+        let candidates = collection.seeds.len() + generated.iter().map(Vec::len).sum::<usize>();
+        Dedup(HashSet::with_capacity(budget.min(candidates)))
+    }
+
+    /// Plans `sql` unless an identical text was planned before: returns the
+    /// shared text to store in the plan, or `None` for a duplicate.
+    fn admit(&mut self, sql: String) -> Option<Arc<str>> {
+        if self.0.contains(sql.as_str()) {
+            return None;
         }
-        for case in &self.cases[start..] {
-            let t = timed.then(Instant::now);
-            let prepared = template.prepare(&case.sql);
-            if let Some(t) = t {
-                self.prepare_latency.push(t.elapsed());
-            }
-            // Shape analysis is part of planning, not execution: it is a
-            // pure function of (registry, AST), so computing it against the
-            // template here keeps the shards' grouping deterministic and
-            // out of the hot loop.
-            self.shapes.push(prepared.as_ref().ok().and_then(|p| template.shape_key(p)));
-            self.prepared.push(prepared);
-        }
+        let sql: Arc<str> = Arc::from(sql);
+        self.0.insert(Arc::clone(&sql));
+        Some(sql)
     }
 }
 
@@ -478,24 +474,17 @@ pub fn run_soft_parallel_live(
             scope.spawn(move || soft_obs::watchdog::run(&registry, stop_ref, cfg))
         });
         let (plan, outcomes, epochs) = match config.schedule.options() {
-            // The static planner: one plan, one prepare pass, one shard
-            // decomposition — the reference semantics.
+            // The static planner: one plan, one shard decomposition — the
+            // reference semantics.
             None => {
                 let gen_start = campaign_sink_ref.as_ref().map(|s| s.now_ns());
-                let mut plan = build_plan(&collection, &ctx, config, workers);
+                let plan = build_plan(&collection, &ctx, config, workers);
                 if let (Some(sink), Some(start)) = (campaign_sink_ref.as_mut(), gen_start) {
                     sink.record_since(
                         "generate",
                         start,
                         Some(format!("{} cases", plan.cases.len())),
                     );
-                }
-                // Parse-once: compile the planned stream against the
-                // template. From here on the shards only execute ASTs.
-                let parse_start = campaign_sink_ref.as_ref().map(|s| s.now_ns());
-                plan.prepare(&template, telemetry_opts.is_some());
-                if let (Some(sink), Some(start)) = (campaign_sink_ref.as_mut(), parse_start) {
-                    sink.record_since("parse", start, None);
                 }
                 let shard_size = config.shard_statements.max(1);
                 let shards: Vec<(usize, usize, usize)> = (0..plan.cases.len())
@@ -674,11 +663,6 @@ pub fn run_soft_parallel_live(
             for d in &plan.generate_latency {
                 latency.generate.record(*d);
             }
-            // The parse stage is the campaign's central prepare pass: one
-            // sample per planned statement, disjoint from execution.
-            for d in &plan.prepare_latency {
-                latency.parse.record(*d);
-            }
             // Time the minimize stage over the unique findings (the PoCs the
             // paper's harness would report). The reducer only reads cloned
             // engines, so the report is untouched. Crash PoCs reduce under
@@ -845,8 +829,8 @@ fn seed_functions_of(collection: &Collection) -> Vec<Option<Arc<str>>> {
 /// The feedback scheduler (plan-then-execute). The statement budget is
 /// split into `sched.epochs` epochs; each epoch is *planned* from per-arm
 /// quotas the bandit computed out of the merged, deterministic telemetry of
-/// the epochs before it, prepared incrementally, and executed on shards
-/// that continue the campaign's global numbering. An arm is a
+/// the epochs before it, and executed on shards that continue the
+/// campaign's global numbering. An arm is a
 /// (pattern × seed-function-category) pair.
 ///
 /// Every scheduling input is event-derived and therefore a pure function of
@@ -899,8 +883,7 @@ fn run_scheduled(
     // Partition the generated cases into arm queues, keyed (pattern
     // position, category) so the arm order refines the static planner's
     // pattern order. Within a queue, cases keep their generation order.
-    let mut by_arm: BTreeMap<(usize, FunctionCategory), Vec<(GeneratedCase, usize)>> =
-        BTreeMap::new();
+    let mut by_arm: BTreeMap<(usize, FunctionCategory), TaggedCases> = BTreeMap::new();
     for (pi, cases) in per_pattern.into_iter().enumerate() {
         for (case, seed) in cases {
             let category =
@@ -912,7 +895,7 @@ fn run_scheduled(
         .keys()
         .map(|&(pi, category)| ArmId { pattern: active[pi], category })
         .collect();
-    let queues: Vec<Vec<(GeneratedCase, usize)>> = by_arm.into_values().collect();
+    let mut queues: Vec<TaggedCases> = by_arm.into_values().collect();
     let arm_of: HashMap<(PatternId, FunctionCategory), usize> = arms
         .iter()
         .enumerate()
@@ -922,26 +905,15 @@ fn run_scheduled(
     let budget = config.max_statements;
     let mut plan = Plan {
         cases: Vec::new(),
-        prepared: Vec::new(),
-        shapes: Vec::new(),
         generated_per_pattern,
         seed_functions,
         generate_latency,
-        prepare_latency: Vec::new(),
     };
-    let mut executed: HashSet<String> = HashSet::new();
+    let mut executed = Dedup::for_plan(budget, collection, &queues);
 
     // Phase 1: the seed corpus opens epoch 0, exactly like the static
     // planner — seeds prime coverage and are not subject to arm quotas.
-    for (si, stmt) in collection.seeds.iter().enumerate() {
-        if plan.cases.len() >= budget {
-            break;
-        }
-        let sql = stmt.to_string();
-        if executed.insert(sql.clone()) {
-            plan.cases.push(PlannedCase { sql, pattern: None, seed: si });
-        }
-    }
+    plan_seeds(&mut plan.cases, &mut executed, collection, budget);
 
     let n_epochs = sched.epochs.max(1);
     let shard_size = config.shard_statements.max(1);
@@ -1002,7 +974,7 @@ fn run_scheduled(
         plan_round_robin(
             &mut plan.cases,
             &mut executed,
-            &queues,
+            &mut queues,
             &mut cursors,
             &mut planned,
             &quotas,
@@ -1013,7 +985,7 @@ fn run_scheduled(
             plan_round_robin(
                 &mut plan.cases,
                 &mut executed,
-                &queues,
+                &mut queues,
                 &mut cursors,
                 &mut planned,
                 &spill,
@@ -1021,15 +993,9 @@ fn run_scheduled(
             );
         }
 
-        // Prepare only the epoch's tail (the plan's parse-once discipline is
-        // incremental), then execute everything planned but not yet run —
-        // the epoch's quota, plus the seed corpus in epoch 0 — on shards
-        // continuing the global numbering.
-        let parse_start = campaign_sink.as_ref().map(|s| s.now_ns());
-        plan.prepare(template, telemetry.is_some());
-        if let (Some(sink), Some(start)) = (campaign_sink.as_mut(), parse_start) {
-            sink.record_since("parse", start, None);
-        }
+        // Execute everything planned but not yet run — the epoch's quota,
+        // plus the seed corpus in epoch 0 — on shards continuing the global
+        // numbering. Each shard prepares its own statements.
         let epoch_shards: Vec<(usize, usize, usize)> = (exec_from..plan.cases.len())
             .step_by(shard_size)
             .enumerate()
@@ -1104,11 +1070,6 @@ fn run_scheduled(
     // is smaller than the seed corpus or every queue went dry before an
     // epoch got to run.
     if exec_from < plan.cases.len() {
-        let parse_start = campaign_sink.as_ref().map(|s| s.now_ns());
-        plan.prepare(template, telemetry.is_some());
-        if let (Some(sink), Some(start)) = (campaign_sink.as_mut(), parse_start) {
-            sink.record_since("parse", start, None);
-        }
         let tail: Vec<(usize, usize, usize)> = (exec_from..plan.cases.len())
             .step_by(shard_size)
             .enumerate()
@@ -1139,10 +1100,14 @@ fn run_scheduled(
 /// advance the cursor without consuming quota — the same rule the static
 /// planner applies — so a quota buys `quota` *distinct* statements when the
 /// queue has them. Pure: no engine, no clock, no worker count.
+///
+/// A case's text moves out of its queue once the cursor passes it — the
+/// queues are never read behind their cursors — so the plan, not the
+/// generated queue, owns each planned statement.
 fn plan_round_robin(
     cases: &mut Vec<PlannedCase>,
-    executed: &mut HashSet<String>,
-    queues: &[Vec<(GeneratedCase, usize)>],
+    executed: &mut Dedup,
+    queues: &mut [TaggedCases],
     cursors: &mut [usize],
     planned: &mut [usize],
     quotas: &[usize],
@@ -1158,14 +1123,10 @@ fn plan_round_robin(
                 continue;
             }
             while cursors[a] < queues[a].len() {
-                let (case, seed) = &queues[a][cursors[a]];
+                let (case, seed) = &mut queues[a][cursors[a]];
                 cursors[a] += 1;
-                if executed.insert(case.sql.clone()) {
-                    cases.push(PlannedCase {
-                        sql: case.sql.clone(),
-                        pattern: Some(case.pattern),
-                        seed: *seed,
-                    });
+                if let Some(sql) = executed.admit(std::mem::take(&mut case.sql)) {
+                    cases.push(PlannedCase { sql, pattern: Some(case.pattern), seed: *seed });
                     planned[a] += 1;
                     progressed = true;
                     break;
@@ -1230,6 +1191,25 @@ fn fold_rewards(
     rewards
 }
 
+/// Phase 1 of both planners: the seed statements themselves, in collection
+/// order, deduplicated and truncated at `budget`. Seeds should be
+/// crash-free, but they count toward the budget and they prime coverage.
+fn plan_seeds(
+    cases: &mut Vec<PlannedCase>,
+    executed: &mut Dedup,
+    collection: &Collection,
+    budget: usize,
+) {
+    for (si, stmt) in collection.seeds.iter().enumerate() {
+        if cases.len() >= budget {
+            break;
+        }
+        if let Some(sql) = executed.admit(stmt.to_string()) {
+            cases.push(PlannedCase { sql, pattern: None, seed: si });
+        }
+    }
+}
+
 /// Plans the exact statement stream the campaign executes: phase-1 seeds,
 /// then the round-robin over per-pattern generated cases, globally
 /// deduplicated and truncated at the budget. Pure — no engine involved — so
@@ -1240,52 +1220,38 @@ fn build_plan(
     config: &CampaignConfig,
     workers: usize,
 ) -> Plan {
-    let mut plan: Vec<PlannedCase> = Vec::new();
-    let mut executed: HashSet<String> = HashSet::new();
-
     // Seed provenance for the event journal: the root (first collected)
     // function expression of each seed statement, interned once.
     let seed_functions = seed_functions_of(collection);
 
-    // Phase 1: the seeds themselves (they should be crash-free, but they
-    // count toward the budget and they prime coverage).
-    for (si, stmt) in collection.seeds.iter().enumerate() {
-        if plan.len() >= config.max_statements {
-            break;
-        }
-        let sql = stmt.to_string();
-        if executed.insert(sql.clone()) {
-            plan.push(PlannedCase { sql, pattern: None, seed: si });
-        }
-    }
-
-    // Phase 2: pattern-based generation, interleaved round-robin across
-    // patterns so every pattern gets budget share.
     let active: Vec<PatternId> = match &config.patterns {
         None => PATTERN_ORDER.to_vec(),
         Some(ps) => PATTERN_ORDER.iter().copied().filter(|p| ps.contains(p)).collect(),
     };
-    let (per_pattern, generate_latency) =
+    let (mut per_pattern, generate_latency) =
         generate_cases(collection, ctx, config, &active, workers);
     let generated_per_pattern: Vec<(PatternId, usize)> =
         active.iter().zip(&per_pattern).map(|(&p, cases)| (p, cases.len())).collect();
 
+    let mut plan: Vec<PlannedCase> = Vec::new();
+    let mut executed = Dedup::for_plan(config.max_statements, collection, &per_pattern);
+    plan_seeds(&mut plan, &mut executed, collection, config.max_statements);
+
+    // Phase 2: the pattern-generated cases, interleaved round-robin across
+    // patterns so every pattern gets budget share. Each case's text moves
+    // into the plan (the generated vectors are consumed behind the cursors).
     let mut cursors = vec![0usize; per_pattern.len()];
     'outer: loop {
         let mut progressed = false;
-        for (pi, cases) in per_pattern.iter().enumerate() {
+        for (pi, cases) in per_pattern.iter_mut().enumerate() {
             if plan.len() >= config.max_statements {
                 break 'outer;
             }
             while cursors[pi] < cases.len() {
-                let (case, seed) = &cases[cursors[pi]];
+                let (case, seed) = &mut cases[cursors[pi]];
                 cursors[pi] += 1;
-                if executed.insert(case.sql.clone()) {
-                    plan.push(PlannedCase {
-                        sql: case.sql.clone(),
-                        pattern: Some(case.pattern),
-                        seed: *seed,
-                    });
+                if let Some(sql) = executed.admit(std::mem::take(&mut case.sql)) {
+                    plan.push(PlannedCase { sql, pattern: Some(case.pattern), seed: *seed });
                     progressed = true;
                     break;
                 }
@@ -1295,15 +1261,7 @@ fn build_plan(
             break;
         }
     }
-    Plan {
-        cases: plan,
-        prepared: Vec::new(),
-        shapes: Vec::new(),
-        generated_per_pattern,
-        seed_functions,
-        generate_latency,
-        prepare_latency: Vec::new(),
-    }
+    Plan { cases: plan, generated_per_pattern, seed_functions, generate_latency }
 }
 
 /// Executes one prepared plan entry: the prepared AST when preparation
@@ -1316,73 +1274,96 @@ fn execute_planned(engine: &mut Engine, prepared: &Result<Prepared, SqlError>) -
     }
 }
 
+/// Seeds per generation work unit. Small enough that the heaviest pattern
+/// (P3.3, whose cap is ten times the default) splits into many units that
+/// spread across workers; large enough that claiming a unit is noise.
+const SEED_CHUNK: usize = 16;
+
+/// Cases generated per (pattern, seed) pair. The cross-function patterns
+/// need wider per-seed budgets: their search space is (seed × donor), not
+/// (seed × pool).
+fn seed_cap(pattern: PatternId, per_seed_cap: usize) -> usize {
+    match pattern {
+        PatternId::P3_3 => per_seed_cap.max(640),
+        PatternId::P2_3 => per_seed_cap.max(128),
+        _ => per_seed_cap,
+    }
+}
+
+/// One pattern's generated cases, each tagged with the seed it derives from.
+type TaggedCases = Vec<(GeneratedCase, usize)>;
+
 /// Generates every pattern's case vector, each case tagged with the seed it
-/// derives from. Each pattern is independent, so the vectors can be produced
-/// on worker threads; the output is positionally identical to the serial
-/// loop for any worker count. The per-pattern wall-clock durations feed the
-/// telemetry generate-stage histogram and never influence the plan.
+/// derives from. The work is cut into (pattern, [`SEED_CHUNK`] seeds) units
+/// that workers claim from a shared counter, so one pattern holding most of
+/// the work no longer serializes generation. [`patterns::apply_salted`] is
+/// independent per seed, so concatenating the units in (pattern, seed)
+/// order is positionally identical to the serial loop for any worker count.
+/// Each active pattern's generate-stage sample is the sum of its units'
+/// wall-clock durations (telemetry only; it never influences the plan).
 fn generate_cases(
     collection: &Collection,
     ctx: &GenCtx,
     config: &CampaignConfig,
     active: &[PatternId],
     workers: usize,
-) -> (Vec<Vec<(GeneratedCase, usize)>>, Vec<Duration>) {
-    let generate_one = |pattern: PatternId| -> (Vec<(GeneratedCase, usize)>, Duration) {
+) -> (Vec<TaggedCases>, Vec<Duration>) {
+    let seeds = collection.seeds.len();
+    let units: Vec<(usize, Range<usize>)> = (0..active.len())
+        .flat_map(|pi| {
+            (0..seeds).step_by(SEED_CHUNK).map(move |lo| (pi, lo..(lo + SEED_CHUNK).min(seeds)))
+        })
+        .collect();
+    let generate_unit = |(pi, range): &(usize, Range<usize>)| -> (TaggedCases, Duration) {
         let t0 = Instant::now();
-        // The cross-function patterns need wider per-seed budgets: their
-        // search space is (seed × donor), not (seed × pool).
-        let cap = match pattern {
-            PatternId::P3_3 => config.per_seed_cap.max(640),
-            PatternId::P2_3 => config.per_seed_cap.max(128),
-            _ => config.per_seed_cap,
-        };
-        let mut tagged: Vec<(GeneratedCase, usize)> = Vec::new();
+        let pattern = active[*pi];
+        let cap = seed_cap(pattern, config.per_seed_cap);
+        let mut tagged: TaggedCases = Vec::new();
         let mut buf: Vec<GeneratedCase> = Vec::new();
-        for (si, seed) in collection.seeds.iter().enumerate() {
-            patterns::apply_salted(pattern, seed, ctx, cap, si, &mut buf);
+        for si in range.clone() {
+            patterns::apply_salted(pattern, &collection.seeds[si], ctx, cap, si, &mut buf);
             tagged.extend(buf.drain(..).map(|case| (case, si)));
         }
         (tagged, t0.elapsed())
     };
-    if workers <= 1 || active.len() <= 1 {
-        let mut cases = Vec::with_capacity(active.len());
-        let mut durations = Vec::with_capacity(active.len());
-        for &p in active {
-            let (c, d) = generate_one(p);
-            cases.push(c);
-            durations.push(d);
-        }
-        return (cases, durations);
+    let generated: Vec<(TaggedCases, Duration)> = if workers <= 1 || units.len() <= 1 {
+        units.iter().map(generate_unit).collect()
+    } else {
+        let next = AtomicUsize::new(0);
+        let done: Mutex<Vec<(usize, TaggedCases, Duration)>> =
+            Mutex::new(Vec::with_capacity(units.len()));
+        std::thread::scope(|scope| {
+            for _ in 0..workers.min(units.len()) {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(unit) = units.get(i) else { break };
+                    let (cases, duration) = generate_unit(unit);
+                    done.lock().expect("generation results poisoned").push((i, cases, duration));
+                });
+            }
+        });
+        let mut v = done.into_inner().expect("generation results poisoned");
+        v.sort_unstable_by_key(|&(i, _, _)| i);
+        v.into_iter().map(|(_, cases, duration)| (cases, duration)).collect()
+    };
+    // Units are in (pattern, seed) order: concatenate each pattern's run.
+    let mut lens = vec![0usize; active.len()];
+    for ((pi, _), (chunk, _)) in units.iter().zip(&generated) {
+        lens[*pi] += chunk.len();
     }
-    let next = AtomicUsize::new(0);
-    type Generated = (usize, Vec<(GeneratedCase, usize)>, Duration);
-    let done: Mutex<Vec<Generated>> = Mutex::new(Vec::with_capacity(active.len()));
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(active.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&pattern) = active.get(i) else { break };
-                let (cases, duration) = generate_one(pattern);
-                done.lock().expect("generation results poisoned").push((i, cases, duration));
-            });
-        }
-    });
-    let mut v = done.into_inner().expect("generation results poisoned");
-    v.sort_by_key(|&(i, _, _)| i);
-    let mut cases = Vec::with_capacity(v.len());
-    let mut durations = Vec::with_capacity(v.len());
-    for (_, c, d) in v {
-        cases.push(c);
-        durations.push(d);
+    let mut cases: Vec<TaggedCases> = lens.into_iter().map(Vec::with_capacity).collect();
+    let mut durations = vec![Duration::ZERO; active.len()];
+    for ((pi, _), (chunk, duration)) in units.iter().zip(generated) {
+        cases[*pi].extend(chunk);
+        durations[*pi] += duration;
     }
     (cases, durations)
 }
 
 /// The per-shard telemetry recorder: event buffer, coverage snapshots, and
-/// the execute latency histogram (the parse histogram is recorded centrally
-/// by the plan's prepare pass). Only allocated when telemetry is on; the
-/// `Off` path pays a single `Option` check per statement.
+/// the shard's parse and execute latency histograms. Only allocated when
+/// telemetry is on; the `Off` path pays a single `Option` check per
+/// statement.
 struct ShardObserver<'a> {
     opts: &'a TelemetryOptions,
     seed_functions: &'a [Option<Arc<str>>],
@@ -1411,7 +1392,7 @@ impl<'a> ShardObserver<'a> {
 
     /// Times the execution of one prepared statement. With the split entry
     /// points the stage histograms are genuinely disjoint: parse time is
-    /// recorded once per statement by [`Plan::prepare`], and this measures
+    /// recorded once per statement by [`prepare_shard`], and this measures
     /// only [`Engine::execute_prepared`] (or, for statements whose
     /// preparation failed, the replay of that error).
     fn execute_timed(
@@ -1483,6 +1464,37 @@ impl<'a> ShardObserver<'a> {
     }
 }
 
+/// Compiles a shard's statements against the template: one prepared
+/// statement — or its pre-execution error, replayed as the statement's
+/// outcome — per case, and each statement's structural shape (`Some(key)`
+/// when batchable, see [`soft_engine::Engine::shape_key`]).
+///
+/// Each statement is parsed exactly once, from its planned text — the
+/// campaign's specification of a statement is the parse of its text (a
+/// generator AST can differ from it, e.g. a negative literal re-parses as
+/// a negation). Preparation and shape analysis are pure functions of
+/// (template, text), so doing them inside the shard changes no outcome, at
+/// any worker count; the results live only as long as the shard. With
+/// `parse` set, one wall-clock sample per statement lands in that
+/// histogram.
+fn prepare_shard(
+    template: &Engine,
+    cases: &[PlannedCase],
+    mut parse: Option<&mut LatencyHistogram>,
+) -> (Vec<Result<Prepared, SqlError>>, Vec<Option<ShapeKey>>) {
+    let mut prepared = Vec::with_capacity(cases.len());
+    for case in cases {
+        let t = parse.is_some().then(Instant::now);
+        prepared.push(template.prepare(&case.sql));
+        if let (Some(h), Some(t)) = (parse.as_deref_mut(), t) {
+            h.record(t.elapsed());
+        }
+    }
+    let shapes =
+        prepared.iter().map(|p| p.as_ref().ok().and_then(|p| template.shape_key(p))).collect();
+    (prepared, shapes)
+}
+
 /// Batch-executes the shape groups of one window of a shard, storing each
 /// statement's precomputed `(outcome, amortized duration)` into `pre`.
 ///
@@ -1506,7 +1518,7 @@ fn batch_window(
     engine: &mut Engine,
     prepared: &[Result<Prepared, SqlError>],
     shapes: &[Option<ShapeKey>],
-    window: std::ops::Range<usize>,
+    window: Range<usize>,
     pre: &mut [Option<(ExecOutcome, Duration)>],
     arena: &mut BatchArena,
     sink: &mut Option<SpanSink>,
@@ -1551,7 +1563,7 @@ fn batch_window(
     }
 }
 
-/// Executes one shard of the planned (and prepared) stream on a private
+/// Prepares and executes one shard of the planned stream on a private
 /// engine cloned from the template. Pure function of (profile, template,
 /// shard range): no state is shared with other shards.
 ///
@@ -1566,7 +1578,7 @@ fn run_shard(
     fault_index: &FaultIndex<'_>,
     template: &Engine,
     plan: &Plan,
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
     shard: usize,
     telemetry: Option<&TelemetryOptions>,
     oracles: Option<&OracleOptions>,
@@ -1581,9 +1593,7 @@ fn run_shard(
     let mut sink = span_origin.map(|origin| SpanSink::new(origin, shard as u64 + 1));
     let shard_span_start = sink.as_ref().map(|s| s.now_ns());
     let start_offset = range.start;
-    let cases = &plan.cases[range.clone()];
-    let prepared = &plan.prepared[range.clone()];
-    let shapes = &plan.shapes[range];
+    let cases = &plan.cases[range];
     let mut engine = template.clone();
     // The batch plane: per-statement precomputed outcomes, one reusable
     // column arena for the whole shard, and the window cursor. Windows end
@@ -1606,6 +1616,12 @@ fn run_shard(
     if let Some((m, beats)) = &live {
         m.shard_started(&beats[shard], shard);
     }
+    let parse_start = sink.as_ref().map(|s| s.now_ns());
+    let (prepared, shapes) =
+        prepare_shard(template, cases, observer.as_mut().map(|o| &mut o.latency.parse));
+    if let (Some(sink), Some(start)) = (sink.as_mut(), parse_start) {
+        sink.record_since("parse", start, None);
+    }
     let mut crashes = 0usize;
     let mut false_positives = 0usize;
     let mut errors = 0usize;
@@ -1622,17 +1638,15 @@ fn run_shard(
             };
             batch_window(
                 &mut engine,
-                prepared,
-                shapes,
+                &prepared,
+                &shapes,
                 i..window_end,
                 &mut pre,
                 &mut arena,
                 &mut sink,
             );
         }
-        let batched = pre.get_mut(i).and_then(Option::take);
-        let from_batch = batched.is_some();
-        let outcome = match batched {
+        let outcome = match pre.get_mut(i).and_then(Option::take) {
             Some((outcome, spent)) => {
                 // The execute histogram keeps one sample per statement:
                 // batched statements record their amortized share of the
@@ -1660,15 +1674,17 @@ fn run_shard(
         // passed on. It executes the statement's forms on private clones of
         // the *template* (never this shard's engine), so the verdict is a
         // pure function of (template, statement) — shard state and worker
-        // count cannot change it. A batched outcome *is* the prepared-path
-        // outcome of a state-independent statement, so it doubles as the
-        // oracle's reference form and only the unfolded form executes.
+        // count cannot change it. A batchable statement (one with a shape
+        // key) reads neither tables nor mutable session state, so its
+        // outcome here — batched or scalar — is the outcome a template
+        // clone would produce: it doubles as the oracle's reference form and
+        // only the unfolded form executes.
         let logic = match (&outcome, oracles) {
             (ExecOutcome::Crash(_), _) | (_, None) => None,
             (_, Some(opts)) if !opts.multi_form => None,
             (_, Some(_)) => prepared[i].as_ref().ok().and_then(|p| {
                 let span_start = sink.as_ref().map(|s| s.now_ns());
-                let bug = if from_batch {
+                let bug = if shapes[i].is_some() {
                     oracle::multi_form_check_with(template, &case.sql, p.statement(), &outcome)
                 } else {
                     oracle::multi_form_check(template, &case.sql, p.statement())
@@ -1719,7 +1735,7 @@ fn run_shard(
                     found_by_pattern: case.pattern.unwrap_or(PatternId::P1_2),
                     function,
                     seed_function: plan.seed_functions.get(case.seed).cloned().flatten(),
-                    poc: case.sql.clone(),
+                    poc: case.sql.to_string(),
                     statements_until_found: start_offset + i + 1,
                     fixed: false,
                 });
@@ -1749,7 +1765,7 @@ fn run_shard(
                         found_by_pattern: case.pattern.unwrap_or(PatternId::P1_2),
                         function: c.function.clone(),
                         seed_function: plan.seed_functions.get(case.seed).cloned().flatten(),
-                        poc: case.sql.clone(),
+                        poc: case.sql.to_string(),
                         statements_until_found: start_offset + i + 1,
                         fixed: spec.map(|s| s.fixed).unwrap_or(false),
                     });
@@ -1868,6 +1884,7 @@ pub fn run_generator(
 mod tests {
     use super::*;
     use soft_dialects::DialectId;
+    use soft_parser::ast::{Expr, Literal, UnaryOp};
 
     #[test]
     fn small_budget_campaign_is_deterministic() {
@@ -2010,6 +2027,77 @@ mod tests {
         assert_eq!(executed + seed_replays, on.statements_executed);
         let unique: usize = tel.yields.per_pattern.values().map(|y| y.unique_bugs).sum();
         assert_eq!(unique, on.findings.len());
+    }
+
+    #[test]
+    fn chunked_generation_matches_the_serial_per_pattern_loop() {
+        let profile = DialectProfile::build(DialectId::Clickhouse);
+        let mut collection = collect::collect(&profile);
+        // A seed count that is not a multiple of the chunk, so the last
+        // unit of every pattern is partial.
+        collection.seeds.truncate(2 * SEED_CHUNK + 5);
+        assert_eq!(collection.seeds.len(), 2 * SEED_CHUNK + 5, "corpus too small");
+        let ctx = GenCtx::new(&collection);
+        let cfg = CampaignConfig { per_seed_cap: 8, ..CampaignConfig::default() };
+        // All ten patterns, so the P3.3 and P2.3 wide caps are exercised.
+        let active = PATTERN_ORDER.to_vec();
+
+        // The reference: each pattern's seeds in order, one after another.
+        let mut reference: Vec<TaggedCases> = Vec::new();
+        let mut buf: Vec<GeneratedCase> = Vec::new();
+        for &pattern in &active {
+            let mut tagged: TaggedCases = Vec::new();
+            for (si, seed) in collection.seeds.iter().enumerate() {
+                let cap = seed_cap(pattern, cfg.per_seed_cap);
+                patterns::apply_salted(pattern, seed, &ctx, cap, si, &mut buf);
+                tagged.extend(buf.drain(..).map(|case| (case, si)));
+            }
+            reference.push(tagged);
+        }
+        assert!(seed_cap(PatternId::P3_3, cfg.per_seed_cap) > cfg.per_seed_cap);
+        assert!(seed_cap(PatternId::P2_3, cfg.per_seed_cap) > cfg.per_seed_cap);
+        assert!(reference.iter().all(|cases| !cases.is_empty()));
+
+        for workers in [1usize, 2, 4, 7] {
+            let (cases, durations) = generate_cases(&collection, &ctx, &cfg, &active, workers);
+            assert_eq!(cases, reference, "chunked generation diverged at {workers} workers");
+            // One generate-stage sample per active pattern.
+            assert_eq!(durations.len(), active.len());
+        }
+    }
+
+    #[test]
+    fn rendered_text_does_not_reparse_to_the_generator_ast() {
+        // Why shards prepare from the planned text, not from the generator's
+        // AST: rendering is not injective back to the tree. The P1.1 pool
+        // holds the literal `-9`, which renders as `-9` and re-parses as the
+        // negation of `9` — a different AST for the same statement.
+        let pool = crate::pool::boundary_literals();
+        let minus_nine = pool
+            .iter()
+            .find(|e| e.to_string() == "-9")
+            .expect("the pool holds -9")
+            .clone();
+        assert!(matches!(&minus_nine, Expr::Literal(Literal::Number(n)) if n == "-9"));
+        let mut generated = soft_parser::parse_statement("SELECT abs(0)").expect("seed parses");
+        assert!(soft_parser::visit::replace_function_expr(&mut generated, 0, |f| {
+            let mut f = f.clone();
+            f.args = vec![minus_nine.clone()];
+            Expr::Function(f)
+        }));
+        let sql = generated.to_string();
+        let reparsed = soft_parser::parse_statement(&sql).expect("rendered SQL parses");
+        assert_ne!(reparsed, generated, "render/parse round trip became lossless");
+        let args = soft_parser::visit::collect_function_exprs(&reparsed)[0].args.clone();
+        assert_eq!(
+            args,
+            vec![Expr::Unary {
+                op: UnaryOp::Neg,
+                expr: Box::new(Expr::Literal(Literal::Number("9".into()))),
+            }]
+        );
+        // The text is the fixed point: its parse renders back to itself.
+        assert_eq!(reparsed.to_string(), sql);
     }
 
     #[test]

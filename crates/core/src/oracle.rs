@@ -37,6 +37,7 @@ use soft_dialects::{seeds, DialectId, DialectProfile};
 use soft_engine::{Engine, ExecOutcome, SqlError};
 use soft_parser::ast::{BinaryOp, Expr, Literal, Statement};
 use soft_parser::visit;
+use soft_types::value::Value;
 
 /// Which oracle family raised a finding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -136,14 +137,25 @@ impl OracleConfig {
 fn signature(outcome: &ExecOutcome) -> Option<String> {
     match outcome {
         ExecOutcome::Rows(rs) => {
-            let rows: Vec<String> = rs
-                .rows
-                .iter()
-                .map(|row| {
-                    row.iter().map(|v| v.render()).collect::<Vec<_>>().join(", ")
-                })
-                .collect();
-            Some(format!("rows: {}", rows.join("; ")))
+            // `rows: ` then the rendered values, `, ` between values and
+            // `; ` between rows, written into one buffer.
+            let mut out = String::from("rows: ");
+            for (r, row) in rs.rows.iter().enumerate() {
+                if r > 0 {
+                    out.push_str("; ");
+                }
+                for (c, v) in row.iter().enumerate() {
+                    if c > 0 {
+                        out.push_str(", ");
+                    }
+                    match v {
+                        // A text value renders as itself.
+                        Value::Text(t) => out.push_str(t),
+                        v => out.push_str(&v.render()),
+                    }
+                }
+            }
+            Some(out)
         }
         ExecOutcome::Ok(_) => Some("ok".to_string()),
         // All resource kills are one class (which limit trips first may
@@ -181,13 +193,14 @@ pub fn multi_form_check(template: &Engine, _sql: &str, stmt: &Statement) -> Opti
 }
 
 /// [`multi_form_check`] with the reference form's outcome supplied by the
-/// caller, so only the unfolded form executes here. The campaign's batch
-/// demux uses this: a batched statement's outcome *is* the prepared-path
-/// outcome, and batchable statements read neither tables nor mutable
-/// session state, so the outcome the shard engine produced is exactly what
-/// a private template clone would produce — the purity contract
-/// [`multi_form_check`] establishes by cloning. The string-path form is
-/// absent here for the same reason as there.
+/// caller, so only the unfolded form executes here. The campaign's shards
+/// use this for every batchable statement (one with a
+/// [`soft_engine::Engine::shape_key`]), batched or not: batchable
+/// statements read neither tables nor mutable session state, so the
+/// outcome the shard engine produced is exactly what a private template
+/// clone would produce — the purity contract [`multi_form_check`]
+/// establishes by cloning. The string-path form is absent here for the
+/// same reason as there.
 ///
 /// `sql` is the statement's text and is unused, as in [`multi_form_check`].
 pub fn multi_form_check_with(

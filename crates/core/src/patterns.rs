@@ -170,6 +170,17 @@ pub fn apply_salted(
     let push = |out: &mut Vec<GeneratedCase>, stmt: Statement| {
         out.push(GeneratedCase { sql: stmt.to_string(), pattern });
     };
+    // The mutation-based patterns drop a candidate that renders exactly as
+    // the seed.
+    let seed_sql = seed.to_string();
+    let push_changed = |out: &mut Vec<GeneratedCase>, stmt: Statement| -> bool {
+        let sql = stmt.to_string();
+        if sql == seed_sql {
+            return false;
+        }
+        out.push(GeneratedCase { sql, pattern });
+        true
+    };
     match pattern {
         PatternId::P1_1 => {
             // Direct boundary probing: the pool value *is* the argument
@@ -195,10 +206,9 @@ pub fn apply_salted(
                     if !replaced || !applied || visit::max_function_nesting(&s) > 2 {
                         continue;
                     }
-                    if s.to_string() == seed.to_string() {
+                    if !push_changed(out, s) {
                         continue;
                     }
-                    push(out, s);
                     if out.len() - start >= cap {
                         break 'outer;
                     }
@@ -239,14 +249,10 @@ pub fn apply_salted(
                         }
                         other => other.clone(),
                     });
-                    match mutated {
-                        Some(s) if s.to_string() != seed.to_string() => {
-                            push(out, s);
-                            if out.len() - start >= cap {
-                                break 'outer;
-                            }
+                    if let Some(s) = mutated {
+                        if push_changed(out, s) && out.len() - start >= cap {
+                            break 'outer;
                         }
-                        _ => {}
                     }
                 }
             }
@@ -277,14 +283,10 @@ pub fn apply_salted(
                         }
                         other => other.clone(),
                     });
-                    match mutated {
-                        Some(s) if s.to_string() != seed.to_string() => {
-                            push(out, s);
-                            if out.len() - start >= cap {
-                                break 'outer;
-                            }
+                    if let Some(s) = mutated {
+                        if push_changed(out, s) && out.len() - start >= cap {
+                            break 'outer;
                         }
-                        _ => {}
                     }
                 }
             }
@@ -334,14 +336,10 @@ pub fn apply_salted(
                     let idx = if k < 24 { k } else { (salt + k) % n };
                     let donor = &ctx.donor_args[idx];
                     let mutated = mutate_arg(seed, fi, ai, |_| donor.clone());
-                    match mutated {
-                        Some(s) if s.to_string() != seed.to_string() => {
-                            push(out, s);
-                            if out.len() - start >= cap {
-                                break 'outer;
-                            }
+                    if let Some(s) = mutated {
+                        if push_changed(out, s) && out.len() - start >= cap {
+                            break 'outer;
                         }
-                        _ => {}
                     }
                 }
             }
@@ -395,14 +393,10 @@ pub fn apply_salted(
                 for k in 0..n.min(320) {
                     let donor = &ctx.donor_exprs[(salt + k) % n];
                     let mutated = mutate_arg(seed, fi, ai, |_| Expr::Function(donor.clone()));
-                    match mutated {
-                        Some(s) if s.to_string() != seed.to_string() => {
-                            push(out, s);
-                            if out.len() - start >= cap {
-                                break 'outer;
-                            }
+                    if let Some(s) = mutated {
+                        if push_changed(out, s) && out.len() - start >= cap {
+                            break 'outer;
                         }
-                        _ => {}
                     }
                 }
             }

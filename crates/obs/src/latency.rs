@@ -96,11 +96,11 @@ impl LatencyHistogram {
 
 /// Per-stage latency histograms for the campaign pipeline.
 ///
-/// The stages are genuinely disjoint: `parse` times the campaign's central
-/// prepare pass (`Engine::prepare`, one parse per planned statement) and
-/// `execute` times only `Engine::execute_prepared` on the already-parsed
-/// AST — no statement is parsed twice, and no parse time is double-counted
-/// inside `execute`.
+/// The stages are genuinely disjoint: `parse` times each shard's prepare
+/// step (`Engine::prepare`, one parse per planned statement) and `execute`
+/// times only `Engine::execute_prepared` on the already-parsed AST — no
+/// statement is parsed twice, and no parse time is double-counted inside
+/// `execute`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageLatency {
     /// Pattern-based case generation, one sample per (pattern) batch.
